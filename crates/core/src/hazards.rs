@@ -38,10 +38,40 @@
 //! `stall_cycles`. On a unit-latency machine every entry point returns
 //! immediately and the schedule is untouched, so the paper's flat model
 //! pays nothing.
+//!
+//! ## Row reclamation
+//!
+//! Reclaiming a row is incremental; no step of it rebuilds a
+//! whole-graph structure:
+//!
+//! - The predecessor map `ctx.preds` is exact at every deletion.
+//!   [`grip_percolate::try_delete_empty_if`] rewires only the row's
+//!   predecessors and patches the map in place.
+//! - [`delete_would_create_hazard`] is a breadth-first scan over dense,
+//!   reused buffers. It visits each node once, at its minimum distance.
+//!   The old walk visited a node again at every path length in range, and
+//!   this gives the same verdict: the residual `L - a` of a producer `a`
+//!   rows up only falls as `a` grows, and the trigger `L - a >= b` for a
+//!   consumer `b` rows down only gets harder as `b` grows. So the
+//!   shortest distance decides every case.
+//! - `backfill` caches each "blocked" verdict with the graph version it
+//!   was reached at and its witness. The witness is the row, the path up
+//!   to the producer, and the path down to the consumer that blocked it.
+//!   A later pass reuses the verdict while no witness node has a newer
+//!   [`Graph::node_stamp`] or has been deleted. A deletion restamps every
+//!   predecessor it rewires, so this also covers rewiring. While the
+//!   witness stands, the producer is at most as far above the row and the
+//!   consumer at most as far below. Any other edit can only add producers
+//!   or shorten paths, and a "blocked" verdict survives both. In debug
+//!   builds every cached skip is re-checked against a fresh scan.
+//!
+//! Every verdict, and so every schedule, is the same as a full re-check
+//! against a freshly rebuilt predecessor map would give.
 
 use grip_ir::{Graph, NodeId, OpId, RegId, Tree, TreePath};
 use grip_machine::MachineDesc;
 use grip_percolate::{apply_move_op, plan_move_op, try_delete_empty_if, Ctx};
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Per-register outstanding delay cycles at a program point.
@@ -61,6 +91,10 @@ pub struct HazardStats {
     pub multihop: u64,
     /// Rows emptied by backfill and deleted (cycles reclaimed).
     pub reclaimed_rows: u64,
+    /// Reclamation attempts that ran [`delete_would_create_hazard`].
+    pub deletion_checks: u64,
+    /// Reclamation attempts answered by a cached "blocked" verdict.
+    pub deletion_checks_cached: u64,
 }
 
 // ----------------------------------------------------------------------
@@ -290,81 +324,247 @@ pub fn pad_hazards(g: &mut Graph, desc: &MachineDesc) -> HazardStats {
 // Hazard-preserving row deletion
 // ----------------------------------------------------------------------
 
+/// Reusable buffers of the deletion check: epoch-stamped visited marks
+/// (dense by node index), a dense per-register residual table reset
+/// through its touched list, and the two breadth-first queues. Queue
+/// entries carry the index of the entry that discovered them (`ROOT` for
+/// n's direct neighbours), and each hot register remembers the `up` entry
+/// that set its residual, so a "blocked" verdict can name its witness.
+#[derive(Default)]
+struct DeletionScratch {
+    epoch: u64,
+    seen: Vec<u64>,
+    hot: Vec<u32>,
+    hot_src: Vec<u32>,
+    touched: Vec<RegId>,
+    up: Vec<(NodeId, u32)>,
+    down: Vec<(NodeId, u32)>,
+    /// `down` entry of the read that blocked the last check, and the
+    /// register it read.
+    hit: Option<(u32, RegId)>,
+}
+
+/// Discoverer index of a queue entry adjacent to the checked row.
+const ROOT: u32 = u32::MAX;
+
+thread_local! {
+    static SCRATCH: RefCell<DeletionScratch> = RefCell::new(DeletionScratch::default());
+}
+
+impl DeletionScratch {
+    /// Mark `m` visited in the current sweep; false if it already was.
+    fn mark(&mut self, m: NodeId) -> bool {
+        let slot = &mut self.seen[m.index()];
+        let fresh = *slot != self.epoch;
+        *slot = self.epoch;
+        fresh
+    }
+
+    /// [`delete_would_create_hazard`] on a multi-cycle machine, without
+    /// allocating once the buffers have grown to the graph.
+    fn check(
+        &mut self,
+        g: &Graph,
+        preds: &HashMap<NodeId, Vec<NodeId>>,
+        desc: &MachineDesc,
+        n: NodeId,
+    ) -> bool {
+        for r in self.touched.drain(..) {
+            self.hot[r.index()] = 0;
+        }
+        self.up.clear();
+        self.down.clear();
+        self.hit = None;
+        if self.seen.len() < g.node_index_bound() {
+            self.seen.resize(g.node_index_bound(), 0);
+        }
+        if self.hot.len() < g.reg_count() {
+            self.hot.resize(g.reg_count(), 0);
+            self.hot_src.resize(g.reg_count(), ROOT);
+        }
+        let lmax = desc.max_latency();
+        let no_preds: &[NodeId] = &[];
+        // Upward sweep, level by level: `a` is each node's minimum distance
+        // above n, and its producers leave the residual countdown `L - a`.
+        self.epoch += 1;
+        for &p in preds.get(&n).map_or(no_preds, Vec::as_slice) {
+            if self.mark(p) {
+                self.up.push((p, ROOT));
+            }
+        }
+        let mut cmax = 0;
+        let (mut lo, mut a) = (0, 1);
+        while lo < self.up.len() && a < lmax {
+            let hi = self.up.len();
+            for i in lo..hi {
+                let m = self.up[i].0;
+                if !g.node_exists(m) {
+                    continue;
+                }
+                for &(_, o) in g.node_ops(m) {
+                    let op = g.op(o);
+                    if let Some(d) = op.dest {
+                        let l = desc.latency_of(op.kind);
+                        let h = self.hot[d.index()];
+                        if l > a && l - a > h {
+                            if h == 0 {
+                                self.touched.push(d);
+                            }
+                            self.hot[d.index()] = l - a;
+                            self.hot_src[d.index()] = i as u32;
+                            cmax = cmax.max(l - a);
+                        }
+                    }
+                }
+                if a + 1 < lmax {
+                    for &q in preds.get(&m).map_or(no_preds, Vec::as_slice) {
+                        if self.mark(q) {
+                            self.up.push((q, i as u32));
+                        }
+                    }
+                }
+            }
+            (lo, a) = (hi, a + 1);
+        }
+        if cmax == 0 {
+            return false;
+        }
+        // Downward sweep: a read of a hot register within its residual
+        // countdown would land too close once n stops issuing.
+        self.epoch += 1;
+        for &s in g.unique_successors(n) {
+            if self.mark(s) {
+                self.down.push((s, ROOT));
+            }
+        }
+        let (mut lo, mut b) = (0, 1);
+        while lo < self.down.len() && b <= cmax {
+            let hi = self.down.len();
+            for i in lo..hi {
+                let m = self.down[i].0;
+                if !g.node_exists(m) {
+                    continue;
+                }
+                for &(_, o) in g.node_ops(m) {
+                    if let Some(r) = g.op(o).reads().find(|r| self.hot[r.index()] >= b) {
+                        self.hit = Some((i as u32, r));
+                        return true;
+                    }
+                }
+                if b < cmax {
+                    for &s in g.unique_successors(m) {
+                        if self.mark(s) {
+                            self.down.push((s, i as u32));
+                        }
+                    }
+                }
+            }
+            (lo, b) = (hi, b + 1);
+        }
+        false
+    }
+
+    /// The witness of the last check's "blocked" verdict, into `out`: the
+    /// row itself, the path up to the producer whose residual the blocking
+    /// read hit, and the path down to that read.
+    fn witness(&self, n: NodeId, out: &mut Vec<NodeId>) {
+        let Some((hit, r)) = self.hit else { return };
+        out.push(n);
+        for (queue, from) in [(&self.up, self.hot_src[r.index()]), (&self.down, hit)] {
+            let mut i = from;
+            while i != ROOT {
+                let (m, parent) = queue[i as usize];
+                out.push(m);
+                i = parent;
+            }
+        }
+    }
+}
+
 /// Would deleting the empty row `n` re-shrink a producer→consumer issue
 /// distance below the producer's latency?
 ///
 /// A producer `a` rows above `n` (any path) with latency `L` and a
 /// consumer `b` rows below are `a + b` issue slots apart *through* `n`;
 /// deletion makes that `a + b - 1`, which re-introduces a hazard exactly
-/// when `b <= L - a`. The scan is conservative (it ignores same-register
-/// shadowing across paths), so it can only refuse a deletion that was in
-/// fact safe — costing one empty row, never a stall.
+/// when `b <= L - a`. Both sweeps are breadth-first and visit each node
+/// once, at its minimum distance: the residual `L - a` only falls and the
+/// trigger `L - a >= b` only gets harder as distances grow, so the minimum
+/// decides the verdict for every longer path too. The scan is
+/// conservative (it ignores same-register shadowing across paths), so it
+/// can only refuse a deletion that was in fact safe — costing one empty
+/// row, never a stall.
 pub fn delete_would_create_hazard(
     g: &Graph,
     preds: &HashMap<NodeId, Vec<NodeId>>,
     desc: &MachineDesc,
     n: NodeId,
 ) -> bool {
-    let lmax = desc.max_latency();
-    if lmax <= 1 {
+    if desc.max_latency() <= 1 {
         return false;
     }
-    // Upward sweep: registers still in flight at n's entry, with the
-    // worst-case residual countdown `L - a` over all producers and paths.
-    let mut hot: Countdowns = HashMap::new();
-    let mut level: Vec<NodeId> = preds.get(&n).cloned().unwrap_or_default();
-    let mut seen_up: HashSet<(NodeId, u32)> = HashSet::new();
-    for a in 1..lmax {
-        let mut next = Vec::new();
-        for &m in &level {
-            if !g.node_exists(m) || !seen_up.insert((m, a)) {
-                continue;
-            }
-            for &(_, o) in g.node_ops(m) {
-                let op = g.op(o);
-                if let Some(d) = op.dest {
-                    let l = desc.latency_of(op.kind);
-                    if l > a {
-                        hot.entry(d).and_modify(|c| *c = (*c).max(l - a)).or_insert(l - a);
-                    }
-                }
-            }
-            next.extend(preds.get(&m).cloned().unwrap_or_default());
-        }
-        level = next;
-        if level.is_empty() {
-            break;
-        }
+    SCRATCH.with(|s| s.borrow_mut().check(g, preds, desc, n))
+}
+
+/// A "blocked" deletion verdict, with the graph version it was reached at
+/// and its witness: the row, the path up to the producer, and the path
+/// down to the consumer that blocked it.
+struct Blocked {
+    at: u64,
+    witness: Vec<NodeId>,
+}
+
+impl Blocked {
+    /// The verdict still stands when no node of its witness was edited,
+    /// rewired or deleted since (a deletion restamps every predecessor it
+    /// rewires): the producer is still at most as far above the row, and
+    /// the consumer at most as far below. Edits anywhere else can only add
+    /// producers or shorten paths, and "blocked" is monotone in both.
+    fn holds(&self, g: &Graph) -> bool {
+        g.version() == self.at
+            || self.witness.iter().all(|&m| g.node_exists(m) && g.node_stamp(m) <= self.at)
     }
-    if hot.is_empty() {
-        return false;
-    }
-    let cmax = hot.values().copied().max().unwrap_or(0);
-    // Downward sweep: a read of a hot register within its residual
-    // countdown would land too close once n stops issuing.
-    let mut level: Vec<NodeId> = g.unique_successors(n).to_vec();
-    let mut seen_dn: HashSet<(NodeId, u32)> = HashSet::new();
-    for b in 1..=cmax {
-        let mut next = Vec::new();
-        for &m in &level {
-            if !g.node_exists(m) || !seen_dn.insert((m, b)) {
-                continue;
-            }
-            for &(_, o) in g.node_ops(m) {
-                for r in g.op(o).reads() {
-                    if hot.get(&r).copied().unwrap_or(0) >= b {
-                        return true;
-                    }
-                }
-            }
-            next.extend(g.unique_successors(m));
+}
+
+/// Verdicts of the reclamation sweeps of one `backfill` run: the check
+/// buffers plus the rows found blocked, which later passes skip until
+/// their witness changes.
+#[derive(Default)]
+struct Reclaimer {
+    scratch: DeletionScratch,
+    blocked: HashMap<NodeId, Blocked>,
+}
+
+impl Reclaimer {
+    /// [`delete_would_create_hazard`] for the empty row `m`, answered from
+    /// the cache while a blocked verdict holds.
+    fn blocked(
+        &mut self,
+        g: &Graph,
+        preds: &HashMap<NodeId, Vec<NodeId>>,
+        desc: &MachineDesc,
+        m: NodeId,
+        stats: &mut HazardStats,
+    ) -> bool {
+        if self.blocked.get(&m).is_some_and(|b| b.holds(g)) {
+            stats.deletion_checks_cached += 1;
+            debug_assert!(
+                self.scratch.check(g, preds, desc, m),
+                "cached blocked verdict for {m} went stale"
+            );
+            return true;
         }
-        level = next;
-        if level.is_empty() {
-            break;
+        stats.deletion_checks += 1;
+        if !self.scratch.check(g, preds, desc, m) {
+            self.blocked.remove(&m);
+            return false;
         }
+        let entry = self.blocked.entry(m).or_insert_with(|| Blocked { at: 0, witness: Vec::new() });
+        entry.at = g.version();
+        entry.witness.clear();
+        self.scratch.witness(m, &mut entry.witness);
+        true
     }
-    false
 }
 
 // ----------------------------------------------------------------------
@@ -386,6 +586,7 @@ fn backfill(
     stats: &mut HazardStats,
 ) {
     ctx.refresh(g);
+    let mut reclaimer = Reclaimer::default();
     for _pass in 0..64 {
         let nodes = g.reachable();
         let preds = reachable_preds(g, &nodes);
@@ -442,30 +643,21 @@ fn backfill(
             }
         }
         // Reclaim rows the backfill emptied — through the hazard check, so
-        // no reclaimed cycle re-shrinks a producer distance.
+        // no reclaimed cycle re-shrinks a producer distance. Deletions keep
+        // `ctx.preds` exact, so every check sees the current graph.
         let empties: Vec<NodeId> = region
             .iter()
             .skip(1)
             .copied()
             .filter(|&m| g.node_exists(m) && m != g.entry && g.node(m).tree.is_empty())
             .collect();
-        // Moves do not change edges (splits are excluded above), so the
-        // pass-level predecessor map stays valid until a deletion —
-        // which rewires edges and forces a recompute.
-        let mut preds_now = preds;
-        let mut preds_stale = false;
         let mut deleted_any = false;
         for m in empties {
-            if preds_stale {
-                preds_now = g.predecessors();
-                preds_stale = false;
-            }
-            if try_delete_empty_if(g, ctx, m, |g, m| {
-                !delete_would_create_hazard(g, &preds_now, desc, m)
+            if try_delete_empty_if(g, ctx, m, |g, ctx, m| {
+                !reclaimer.blocked(g, &ctx.preds, desc, m, stats)
             }) {
                 region.retain(|&x| x != m);
                 stats.reclaimed_rows += 1;
-                preds_stale = true;
                 deleted_any = true;
                 changed = true;
             }
@@ -474,11 +666,11 @@ fn backfill(
             ctx.refresh(g);
         }
         if !changed {
-            // One-step fixpoint: nothing moved or deleted this pass, so
-            // `preds_now` still matches the graph. Ready work deeper down
-            // may yet reach open slots past rows the adjacent sweep cannot
-            // land in (§3.2 resource barriers) — try multi-hop climbs.
-            changed = multihop_sweep(g, ctx, desc, region, &preds_now, stats);
+            // One-step fixpoint: nothing moved or deleted this pass, so the
+            // pass-level `preds` still matches the graph. Ready work deeper
+            // down may yet reach open slots past rows the adjacent sweep
+            // cannot land in (§3.2 resource barriers) — try multi-hop climbs.
+            changed = multihop_sweep(g, ctx, desc, region, &preds, stats);
         }
         if !changed {
             break;
@@ -729,6 +921,8 @@ fn record_hazard_counters(s: &HazardStats) {
     grip_obs::counter!("grip_hazard_backfills_total").add(s.backfilled);
     grip_obs::counter!("grip_hazard_multihop_total").add(s.multihop);
     grip_obs::counter!("grip_hazard_reclaimed_rows_total").add(s.reclaimed_rows);
+    grip_obs::counter!("grip_hazard_deletion_checks_total").add(s.deletion_checks);
+    grip_obs::counter!("grip_hazard_deletion_checks_cached_total").add(s.deletion_checks_cached);
 }
 
 #[cfg(test)]

@@ -465,9 +465,11 @@ impl Graph {
     }
 
     /// Delete an *empty* pass-through node, rewiring every predecessor edge
-    /// to its unique successor. Panics if the node still holds operations or
-    /// jumps, or is the entry.
-    pub fn delete_empty_node(&mut self, n: NodeId) {
+    /// to its unique successor. `preds` must list every node with an edge
+    /// to `n` (as [`Graph::predecessors`] does, in ascending order); only
+    /// those are visited, so the cost is the node's in-degree. Panics if
+    /// the node still holds operations or jumps, or is the entry.
+    pub fn delete_empty_node(&mut self, n: NodeId, preds: &[NodeId]) {
         assert_ne!(n, self.entry, "cannot delete the entry node");
         let instr = self.nodes[n.index()].as_ref().expect("node deleted");
         assert!(instr.tree.is_empty(), "delete_empty_node: {n} is not empty");
@@ -476,15 +478,17 @@ impl Graph {
             Tree::Branch { .. } => unreachable!("empty implies leaf"),
         };
         assert_ne!(succ, Some(n), "cannot delete a self-looping node");
-        for i in 0..self.nodes.len() {
-            if i != n.index() {
-                if let Some(instr) = self.nodes[i].as_mut() {
-                    if instr.tree.redirect(n, succ) > 0 {
-                        self.refresh_cache(NodeId::new(i));
-                    }
+        for &p in preds {
+            if let Some(instr) = self.nodes[p.index()].as_mut() {
+                if instr.tree.redirect(n, succ) > 0 {
+                    self.refresh_cache(p);
                 }
             }
         }
+        debug_assert!(
+            self.node_ids().all(|m| m == n || !self.unique_successors(m).contains(&n)),
+            "delete_empty_node: predecessor list of {n} is incomplete"
+        );
         if self.loop_info.is_some_and(|li| li.head == n || li.latch == n || li.exit == n) {
             // Keep loop metadata meaningful: follow the deleted node.
             let li = self.loop_info.as_mut().expect("checked");
@@ -736,7 +740,7 @@ mod tests {
         let n3 = g.add_node(Tree::leaf(None));
         let n2 = g.add_node(Tree::leaf(Some(n3)));
         g.set_succ(g.entry, TreePath::ROOT, Some(n2));
-        g.delete_empty_node(n2);
+        g.delete_empty_node(n2, &[g.entry]);
         g.validate().unwrap();
         assert_eq!(g.successors(g.entry), [n3]);
         assert!(!g.node_exists(n2));

@@ -187,21 +187,22 @@ pub fn propagate_copies(g: &mut Graph, ctx: &mut Ctx<'_>) -> usize {
 /// back below the producer's latency (the re-shrink bug). Latency-aware
 /// callers must use [`try_delete_empty_if`] with a hazard check instead.
 pub fn try_delete_empty(g: &mut Graph, ctx: &mut Ctx<'_>, n: NodeId) -> bool {
-    try_delete_empty_if(g, ctx, n, |_, _| true)
+    try_delete_empty_if(g, ctx, n, |_, _, _| true)
 }
 
 /// [`try_delete_empty`] guarded by a caller-supplied safety predicate:
 /// the node is removed only when it is structurally deletable *and*
-/// `safe(g, n)` agrees. The predicate runs after the structural checks,
-/// immediately before the splice, so it sees exactly the graph that the
-/// deletion would edit. Schedulers pass a producer-distance re-check here
+/// `safe(g, ctx, n)` agrees. The predicate runs after the structural
+/// checks, immediately before the splice, so it sees exactly the graph
+/// (and the exact predecessor map `ctx.preds`) that the deletion would
+/// edit. Schedulers pass a producer-distance re-check here
 /// (e.g. `grip_core::hazards::delete_would_create_hazard`) to keep their
 /// schedules stall-free.
 pub fn try_delete_empty_if(
     g: &mut Graph,
     ctx: &mut Ctx<'_>,
     n: NodeId,
-    safe: impl FnOnce(&Graph, NodeId) -> bool,
+    safe: impl FnOnce(&Graph, &Ctx<'_>, NodeId) -> bool,
 ) -> bool {
     if n == g.entry || !g.node_exists(n) {
         return false;
@@ -210,15 +211,19 @@ pub fn try_delete_empty_if(
     if !instr.tree.is_empty() {
         return false;
     }
-    let succs = instr.tree.successors();
-    if succs.first().copied() == Some(n) {
+    let succ = g.successors(n).first().copied();
+    if succ == Some(n) {
         return false; // degenerate self-loop
     }
-    if !safe(g, n) {
+    if !safe(g, ctx, n) {
         return false;
     }
-    g.delete_empty_node(n);
-    ctx.refresh_preds(g);
+    // O(in-degree): only n's predecessors are rewired, and the map is
+    // patched in place rather than rebuilt.
+    let preds = ctx.preds.remove(&n).unwrap_or_default();
+    g.delete_empty_node(n, &preds);
+    ctx.splice_out_preds(n, succ, &preds);
+    debug_assert!(ctx.preds == g.predecessors(), "patched predecessor map diverged at {n}");
     true
 }
 
@@ -226,7 +231,7 @@ pub fn try_delete_empty_if(
 mod tests {
     use super::*;
     use grip_analysis::Ddg;
-    use grip_ir::{OpKind, Operand, ProgramBuilder, Value};
+    use grip_ir::{OpKind, Operand, Operation, ProgramBuilder, Tree, TreePath, Value};
 
     #[test]
     fn dead_ops_cascade() {
@@ -258,6 +263,62 @@ mod tests {
         let mut ctx = Ctx::new(&g, &ddg);
         let nodes: Vec<_> = g.reachable();
         assert_eq!(eliminate_dead_ops(&mut g, &mut ctx, &nodes), 0);
+    }
+
+    /// splitmix64 step, for the seeded deletion sequences.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e3779b97f4a7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+        z ^ (z >> 31)
+    }
+
+    /// Random control flow over empty rows and branch rows: forward and
+    /// back edges, self-loops, joins, duplicate branch targets and exits.
+    fn random_cfg(state: &mut u64) -> (Graph, Vec<NodeId>) {
+        let mut g = Graph::new();
+        let r = g.fresh_reg();
+        let count = 8 + (next(state) % 16) as usize;
+        let nodes: Vec<NodeId> = (0..count).map(|_| g.add_node(Tree::leaf(None))).collect();
+        g.set_succ(g.entry, TreePath::ROOT, Some(nodes[0]));
+        let target = |state: &mut u64| match next(state) % 8 {
+            0 => None,
+            _ => Some(nodes[(next(state) % count as u64) as usize]),
+        };
+        for &n in &nodes {
+            if next(state) % 3 == 0 {
+                let cj = g.add_op(Operation::new(OpKind::CondJump, None, vec![Operand::Reg(r)]));
+                let (t, f) = (target(state), target(state));
+                g.split_leaf(n, TreePath::ROOT, cj, t, f);
+            } else {
+                let t = target(state);
+                g.set_succ(n, TreePath::ROOT, t);
+            }
+        }
+        g.validate().unwrap();
+        (g, nodes)
+    }
+
+    #[test]
+    fn random_deletions_keep_the_patched_predecessor_map_exact() {
+        let mut deleted = 0;
+        for case in 0..64u64 {
+            let mut state = case << 20;
+            let (mut g, nodes) = random_cfg(&mut state);
+            let ddg = Ddg::build(&g, g.entry);
+            let mut ctx = Ctx::new(&g, &ddg);
+            for _ in 0..2 * nodes.len() {
+                let n = nodes[(next(&mut state) % nodes.len() as u64) as usize];
+                let veto = next(&mut state) % 4 == 0;
+                if try_delete_empty_if(&mut g, &mut ctx, n, |_, _, _| !veto) {
+                    deleted += 1;
+                }
+                assert_eq!(ctx.preds, g.predecessors(), "case {case}: after deleting {n}");
+                g.validate().unwrap_or_else(|e| panic!("case {case}: {e}"));
+            }
+        }
+        assert!(deleted > 100, "the sequences must actually delete rows: {deleted}");
     }
 
     #[test]

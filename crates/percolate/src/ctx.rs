@@ -42,4 +42,23 @@ impl<'a> Ctx<'a> {
     pub fn refresh_preds(&mut self, g: &Graph) {
         self.preds = g.predecessors();
     }
+
+    /// Patch the predecessor map for the splice-out of the empty node `n`
+    /// (whose predecessors were `preds`, already removed from the map) into
+    /// its successor `succ`: `succ` trades `n` for `n`'s predecessors. Each
+    /// list stays sorted and deduplicated, exactly as
+    /// [`Graph::predecessors`] builds it.
+    pub(crate) fn splice_out_preds(&mut self, n: NodeId, succ: Option<NodeId>, preds: &[NodeId]) {
+        let Some(s) = succ else { return };
+        let list = self.preds.entry(s).or_default();
+        list.retain(|&m| m != n);
+        for &p in preds {
+            if let Err(at) = list.binary_search(&p) {
+                list.insert(at, p);
+            }
+        }
+        if list.is_empty() {
+            self.preds.remove(&s);
+        }
+    }
 }

@@ -318,6 +318,9 @@ impl Engine {
         let (entry, ddg_hit) = match self.ddg_cache.get(&dkey) {
             Some(e) => (Rc::clone(e), true),
             None => {
+                // The copy `prepare` consumes is prepare-stage work, like
+                // `prepare` itself (its nested span adds its own time).
+                let _span = grip_obs::span!("prepare");
                 let mut g = g0.clone();
                 let prep = prepare(&mut g, unwind, req.options.fold_inductions);
                 let e = Rc::new(PreparedEntry { graph: g, prep });
@@ -326,10 +329,15 @@ impl Engine {
             }
         };
 
-        let mut g = entry.graph.clone();
+        // Copying the prepared window out of the cache is schedule-stage
+        // work: charge it there, so the stage breakdown accounts for it.
+        let (mut g, window) = {
+            let _span = grip_obs::span!("schedule");
+            (entry.graph.clone(), entry.prep.window.clone())
+        };
         let rep = schedule_window(
             &mut g,
-            entry.prep.window.clone(),
+            window,
             &entry.prep.ddg,
             PipelineOptions {
                 unwind,

@@ -220,8 +220,12 @@ impl<J: Send + 'static, R: Send + 'static> ShardedPool<J, R> {
 
 impl<J: Send + 'static, R: Send + 'static> Drop for ShardedPool<J, R> {
     fn drop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::Release);
+        // Set the flag and notify under each shard's queue lock: a worker
+        // checks the flag and enters `cv.wait` under that same lock, so it
+        // either sees the flag or is already waiting for this wakeup.
         for s in &self.inner.shards {
+            let _q = s.q.lock().expect("shard queue poisoned");
+            self.inner.shutdown.store(true, Ordering::Release);
             s.cv.notify_all();
         }
         for h in self.handles.drain(..) {

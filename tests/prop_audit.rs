@@ -111,7 +111,8 @@ fn mutate(g: &mut Graph, ddg: &Ddg, op: Op, rng: &mut Rng) -> Option<String> {
                 })
                 .collect();
             let n = *pads.get(rng.below(pads.len().max(1) as u64) as usize)?;
-            g.delete_empty_node(n);
+            let preds = g.predecessors().remove(&n).unwrap_or_default();
+            g.delete_empty_node(n, &preds);
             Some(format!("dropped pad row {n}"))
         }
         Op::CloneOverfill => {

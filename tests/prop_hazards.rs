@@ -9,6 +9,7 @@
 //! machine presets × LL1–LL14 — the same grid as `BENCH_machines.json`.
 
 use grip::prelude::*;
+use std::collections::{HashMap, HashSet};
 
 /// Deterministic splitmix64 generator.
 struct Rng(u64);
@@ -211,4 +212,124 @@ fn kernels_schedule_stall_free_on_all_presets() {
             assert!(rep.is_equal(), "{label}: diverged: {rep:?}");
         }
     }
+}
+
+/// The `(node, level)` walk `delete_would_create_hazard` used before it
+/// became a breadth-first scan over dense buffers, kept verbatim as the
+/// oracle: it revisits a node at every path length within range instead
+/// of once at its minimum distance.
+fn reference_deletion_walk(
+    g: &Graph,
+    preds: &HashMap<NodeId, Vec<NodeId>>,
+    desc: &MachineDesc,
+    n: NodeId,
+) -> bool {
+    let lmax = desc.max_latency();
+    if lmax <= 1 {
+        return false;
+    }
+    let mut hot: HashMap<RegId, u32> = HashMap::new();
+    let mut level: Vec<NodeId> = preds.get(&n).cloned().unwrap_or_default();
+    let mut seen_up: HashSet<(NodeId, u32)> = HashSet::new();
+    for a in 1..lmax {
+        let mut next = Vec::new();
+        for &m in &level {
+            if !g.node_exists(m) || !seen_up.insert((m, a)) {
+                continue;
+            }
+            for &(_, o) in g.node_ops(m) {
+                let op = g.op(o);
+                if let Some(d) = op.dest {
+                    let l = desc.latency_of(op.kind);
+                    if l > a {
+                        hot.entry(d).and_modify(|c| *c = (*c).max(l - a)).or_insert(l - a);
+                    }
+                }
+            }
+            next.extend(preds.get(&m).cloned().unwrap_or_default());
+        }
+        level = next;
+        if level.is_empty() {
+            break;
+        }
+    }
+    if hot.is_empty() {
+        return false;
+    }
+    let cmax = hot.values().copied().max().unwrap_or(0);
+    let mut level: Vec<NodeId> = g.unique_successors(n).to_vec();
+    let mut seen_dn: HashSet<(NodeId, u32)> = HashSet::new();
+    for b in 1..=cmax {
+        let mut next = Vec::new();
+        for &m in &level {
+            if !g.node_exists(m) || !seen_dn.insert((m, b)) {
+                continue;
+            }
+            for &(_, o) in g.node_ops(m) {
+                for r in g.op(o).reads() {
+                    if hot.get(&r).copied().unwrap_or(0) >= b {
+                        return true;
+                    }
+                }
+            }
+            next.extend(g.unique_successors(m));
+        }
+        level = next;
+        if level.is_empty() {
+            break;
+        }
+    }
+    false
+}
+
+/// A random multi-cycle latency table (every class may be unit or deep).
+fn random_latencies(rng: &mut Rng, width: usize) -> MachineDesc {
+    let mut lat = |max: u64| 1 + rng.below(max) as u32;
+    let latency =
+        LatencyTable { alu: lat(3), fpu: lat(12), fpu_long: lat(24), mem: lat(12), branch: lat(2) };
+    MachineDesc { name: "random", latency, ..MachineDesc::uniform(width) }
+}
+
+/// The breadth-first deletion check agrees with the old walk on every
+/// node of random loops — before scheduling (the back edge, padded delay
+/// rows) and after it (unwound, branchy, backfilled) — under random
+/// latency tables.
+#[test]
+fn deletion_check_matches_the_reference_walk() {
+    let (mut blocked, mut free) = (0u64, 0u64);
+    for case in 0..cases() {
+        let mut rng = Rng(0xDE1E7E ^ (case << 32));
+        let r = recipe(&mut rng);
+        let width = 2 + rng.below(4) as usize;
+        let desc = random_latencies(&mut rng, width);
+        let mut padded = build(&r);
+        grip::core::hazards::pad_hazards(&mut padded, &desc);
+        let mut scheduled = build(&r);
+        perfect_pipeline(
+            &mut scheduled,
+            PipelineOptions {
+                unwind: 4,
+                resources: Resources::machine(desc),
+                fold_inductions: true,
+                gap_prevention: true,
+                dce: true,
+                try_roll: false,
+                audit: false,
+            },
+        );
+        for g in [&padded, &scheduled] {
+            let preds = g.predecessors();
+            for n in g.reachable() {
+                let want = reference_deletion_walk(g, &preds, &desc, n);
+                let got = grip::core::hazards::delete_would_create_hazard(g, &preds, &desc, n);
+                assert_eq!(got, want, "case {case}, node {n}, {:?} ({r:?})", desc.latency);
+                if want {
+                    blocked += 1;
+                } else {
+                    free += 1;
+                }
+            }
+        }
+    }
+    assert!(blocked > 0 && free > 0, "both verdicts exercised: {blocked} blocked, {free} free");
 }
